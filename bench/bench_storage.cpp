@@ -9,7 +9,13 @@
 //   * full-scan latency (every segment read and decoded);
 //   * selective scans over one id-range, pruned (optimizer pushes the
 //     predicate into the scan, zone maps skip non-overlapping segments)
-//     vs unpruned (optimizer off: every segment read, filter on top).
+//     vs unpruned (optimizer off: every segment read). Both run the fused
+//     Filter-over-Scan path, which filters each segment as it is decoded;
+//   * projected + fused filter vs full materialization at the storage
+//     layer: ScanDisk(columns, row_filter) against ScanTable ->
+//     SelectTableColumns -> Filter for an explore-style two-column fetch
+//     on an unprunable predicate, with decoded columns/rows for both, on
+//     flush segments and again after compaction (order restoration).
 //
 // E18: ordered secondary indexes on an UNSORTED high-cardinality column.
 // The same table carries a `key` column scattered by a Knuth-multiplier
@@ -41,6 +47,9 @@
 #include "engine/database.h"
 #include "engine/exec_context.h"
 #include "engine/expr.h"
+#include "engine/operators.h"
+#include "engine/plan.h"
+#include "engine/storage_iface.h"
 #include "engine/table.h"
 #include "storage/io.h"
 #include "storage/store.h"
@@ -61,6 +70,7 @@ constexpr int64_t kBatchRows = 100'000;
 constexpr uint64_t kSegmentRows = 64 * 1024;
 constexpr int kSelectiveReps = 15;
 constexpr int kIndexReps = 9;
+constexpr int kProjectedReps = 9;
 
 // Unsorted high-cardinality key: a Knuth-multiplier bijection scatters row
 // position across the key space, so segment zone ranges all overlap and
@@ -92,6 +102,80 @@ Table MakeBatch(int64_t start, int64_t count) {
                               Column::FromDoubles(std::move(vals)),
                               Column::FromStrings(std::move(sites))})
       .ValueOrDie();
+}
+
+std::string TableBytes(const Table& t) {
+  mip::BufferWriter w;
+  mip::engine::SerializeTable(t, &w);
+  return std::string(w.bytes().begin(), w.bytes().end());
+}
+
+// One side of the projected-scan comparison: p50 latency and the decode
+// accounting of its last run.
+struct ScanSide {
+  double p50_ms = 0.0;
+  mip::engine::ScanStats stats;
+  size_t rows_out = 0;
+  std::string bytes;
+};
+
+// E17 projected row: `SELECT id, val ... WHERE val < 5.0` (val is random,
+// so zone maps prune nothing), run at the storage layer both ways, reps
+// interleaved. Returns false on a scan error.
+bool MeasureProjected(const mip::storage::StorageEngine& store,
+                      ScanSide* fused, ScanSide* materialized) {
+  using mip::engine::Binary;
+  using mip::engine::BinaryOp;
+  using mip::engine::Col;
+  using mip::engine::LitDouble;
+  const std::vector<std::string> columns = {"id", "val"};
+  const mip::engine::ExprPtr pred =
+      Binary(BinaryOp::kLt, Col("val"), LitDouble(5.0));
+  auto run_materialized =
+      [&](mip::engine::ScanStats* stats) -> mip::Result<Table> {
+    MIP_ASSIGN_OR_RETURN(Table t, store.ScanTable("events", pred.get(), stats));
+    MIP_ASSIGN_OR_RETURN(t, mip::engine::SelectTableColumns(t, columns));
+    MIP_RETURN_NOT_OK(mip::engine::BindExpr(pred.get(), t.schema(), nullptr));
+    return mip::engine::Filter(t, *pred);
+  };
+  auto run_fused = [&](mip::engine::ScanStats* stats) {
+    mip::engine::DiskScanSpec spec;
+    spec.prune_filter = pred.get();
+    spec.columns = columns;
+    spec.row_filter = pred.get();
+    return store.ScanDisk("events", spec, stats);
+  };
+  LatencyHistogram fused_lat, materialized_lat;
+  for (int rep = 0; rep < kProjectedReps; ++rep) {
+    Stopwatch sw1;
+    auto f = run_fused(&fused->stats);
+    fused_lat.Record(sw1.ElapsedMillis());
+    Stopwatch sw2;
+    auto m = run_materialized(&materialized->stats);
+    materialized_lat.Record(sw2.ElapsedMillis());
+    if (!f.ok() || !m.ok()) return false;
+    fused->rows_out = f.ValueOrDie().num_rows();
+    materialized->rows_out = m.ValueOrDie().num_rows();
+    fused->bytes = TableBytes(f.ValueOrDie());
+    materialized->bytes = TableBytes(m.ValueOrDie());
+  }
+  fused->p50_ms = fused_lat.Quantile(0.5);
+  materialized->p50_ms = materialized_lat.Quantile(0.5);
+  return true;
+}
+
+void PrintProjected(const char* label, const ScanSide& fused,
+                    const ScanSide& materialized) {
+  std::printf(
+      "%s: p50 %.2f ms vs %.2f ms materialized (%.1fx); decoded %lld cols / "
+      "%lld rows vs %lld cols / %lld rows; %zu rows out\n",
+      label, fused.p50_ms, materialized.p50_ms,
+      fused.p50_ms > 0.0 ? materialized.p50_ms / fused.p50_ms : 0.0,
+      static_cast<long long>(fused.stats.columns_decoded),
+      static_cast<long long>(fused.stats.rows_decoded),
+      static_cast<long long>(materialized.stats.columns_decoded),
+      static_cast<long long>(materialized.stats.rows_decoded),
+      fused.rows_out);
 }
 
 // Joins an EXPLAIN result's rows back into the rendered plan text.
@@ -233,7 +317,20 @@ int main() {
   std::printf("p50 speedup >= 2x:  %s (got %.1fx)\n",
               fast_enough ? "PASS" : "FAIL", speedup);
 
-  const bool e17_pass = identical && pruned_enough && fast_enough;
+  // --- Projected + fused filter vs full materialization (storage layer).
+  ScanSide projected, materialized;
+  if (!MeasureProjected(*store, &projected, &materialized)) {
+    std::fprintf(stderr, "projected scan failed\n");
+    return 1;
+  }
+  const bool projected_identical = projected.bytes == materialized.bytes;
+  std::printf("\n");
+  PrintProjected("projected+fused", projected, materialized);
+  std::printf("projected results identical: %s\n",
+              projected_identical ? "PASS" : "FAIL");
+
+  const bool e17_pass =
+      identical && pruned_enough && fast_enough && projected_identical;
 
   // =========================================================================
   // E18: ordered secondary indexes vs zone-map-only scans on `key`.
@@ -353,12 +450,23 @@ int main() {
     std::fprintf(stderr, "post-compaction sweep failed\n");
     return 1;
   }
+  ScanSide projected_post, materialized_post;
+  if (!MeasureProjected(*store, &projected_post, &materialized_post)) {
+    std::fprintf(stderr, "post-compaction projected scan failed\n");
+    return 1;
+  }
+  if (projected_post.bytes != projected.bytes ||
+      materialized_post.bytes != projected.bytes) {
+    e18_identical = false;
+  }
   const double point_post_p50 = point_post.Quantile(0.5);
   const double range_post_p50 = range_post.Quantile(0.5);
   std::printf("compaction: %.0f ms -> %llu segments (sorted by key)\n",
               compact_ms, static_cast<unsigned long long>(segments_after));
   std::printf("point (post-compact): %s\n", point_post.Summary().c_str());
   std::printf("range (post-compact): %s\n", range_post.Summary().c_str());
+  PrintProjected("projected+fused (post-compact)", projected_post,
+                 materialized_post);
 
   const bool e18_fast = point_speedup >= 10.0;
   std::printf("\ne18 results identical:      %s\n",
@@ -383,6 +491,17 @@ int main() {
         "  \"speedup_p50\": %.2f,\n"
         "  \"segments_pruned\": %lld, \"segments_total\": %lld,\n"
         "  \"results_identical\": %s,\n"
+        "  \"e17_projected_p50_ms\": %.3f,\n"
+        "  \"e17_materialized_p50_ms\": %.3f,\n"
+        "  \"e17_projected_speedup\": %.2f,\n"
+        "  \"e17_projected_columns_decoded\": %lld,\n"
+        "  \"e17_materialized_columns_decoded\": %lld,\n"
+        "  \"e17_projected_rows_decoded\": %lld,\n"
+        "  \"e17_materialized_rows_decoded\": %lld,\n"
+        "  \"e17_projected_rows_out\": %zu,\n"
+        "  \"e17_projected_identical\": %s,\n"
+        "  \"e17_projected_post_compact_p50_ms\": %.3f,\n"
+        "  \"e17_materialized_post_compact_p50_ms\": %.3f,\n"
         "  \"e18_point_index_p50_ms\": %.3f,\n"
         "  \"e18_point_zone_p50_ms\": %.3f,\n"
         "  \"e18_point_speedup\": %.2f,\n"
@@ -403,7 +522,15 @@ int main() {
         p50_pruned, p50_unpruned, speedup,
         static_cast<long long>(pruned_segments),
         static_cast<long long>(total_segments), identical ? "true" : "false",
-        point_idx_p50, point_zone_p50, point_speedup, range_idx_p50,
+        projected.p50_ms, materialized.p50_ms,
+        projected.p50_ms > 0.0 ? materialized.p50_ms / projected.p50_ms : 0.0,
+        static_cast<long long>(projected.stats.columns_decoded),
+        static_cast<long long>(materialized.stats.columns_decoded),
+        static_cast<long long>(projected.stats.rows_decoded),
+        static_cast<long long>(materialized.stats.rows_decoded),
+        projected.rows_out, projected_identical ? "true" : "false",
+        projected_post.p50_ms, materialized_post.p50_ms, point_idx_p50,
+        point_zone_p50, point_speedup, range_idx_p50,
         range_zone_p50, range_speedup, compact_ms,
         static_cast<unsigned long long>(segments_after), point_post_p50,
         range_post_p50, explain_ok ? "true" : "false",

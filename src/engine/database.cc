@@ -365,12 +365,8 @@ Result<Table> Database::ExecutePlannedSelect(const PlanNode& plan) const {
   options.join_counters = join_counters_.get();
   if (storage_ != nullptr) {
     options.scan_disk = [this](const std::string& name,
-                               const Expr* prune_filter) {
-      return storage_->ScanTable(name, prune_filter, nullptr);
-    };
-    options.index_scan_disk = [this](const std::string& name,
-                                     const Expr* prune_filter) {
-      return storage_->IndexScanTable(name, prune_filter, nullptr);
+                               const DiskScanSpec& spec) {
+      return storage_->ScanDisk(name, spec, nullptr);
     };
   }
   return ExecutePlan(plan, options);

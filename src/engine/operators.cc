@@ -585,4 +585,21 @@ Table Limit(const Table& table, size_t limit, size_t offset) {
   return table.Slice(offset, limit);
 }
 
+Result<Table> SelectTableColumns(const Table& table,
+                                 const std::vector<std::string>& columns) {
+  Schema schema;
+  std::vector<Column> cols;
+  for (const std::string& name : columns) {
+    const int idx = table.schema().FieldIndex(name);
+    if (idx < 0) {
+      return Status::Internal("pruned column '" + name +
+                              "' missing from scanned table");
+    }
+    MIP_RETURN_NOT_OK(
+        schema.AddField(table.schema().field(static_cast<size_t>(idx))));
+    cols.push_back(table.column(static_cast<size_t>(idx)));
+  }
+  return Table::Make(std::move(schema), std::move(cols));
+}
+
 }  // namespace mip::engine

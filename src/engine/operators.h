@@ -75,6 +75,11 @@ Result<Table> HashJoin(const Table& left, const Table& right,
 /// First `limit` rows after skipping `offset`.
 Table Limit(const Table& table, size_t limit, size_t offset = 0);
 
+/// The named columns of `table`, in the given order (case-insensitive
+/// lookup; output fields keep the table's spelling).
+Result<Table> SelectTableColumns(const Table& table,
+                                 const std::vector<std::string>& columns);
+
 }  // namespace mip::engine
 
 #endif  // MIP_ENGINE_OPERATORS_H_

@@ -788,23 +788,6 @@ Table DedupRows(const Table& table) {
   return table.Take(keep);
 }
 
-Result<Table> SelectTableColumns(const Table& table,
-                                 const std::vector<std::string>& columns) {
-  Schema schema;
-  std::vector<Column> cols;
-  for (const std::string& name : columns) {
-    const int idx = table.schema().FieldIndex(name);
-    if (idx < 0) {
-      return Status::Internal("pruned column '" + name +
-                              "' missing from scanned table");
-    }
-    MIP_RETURN_NOT_OK(
-        schema.AddField(table.schema().field(static_cast<size_t>(idx))));
-    cols.push_back(table.column(static_cast<size_t>(idx)));
-  }
-  return Table::Make(std::move(schema), std::move(cols));
-}
-
 std::string BuildRemoteScanSql(const PlanNode& node) {
   std::string sql = "SELECT ";
   sql += node.columns.empty() ? "*" : JoinStrings(node.columns);
@@ -908,28 +891,36 @@ struct PlanExecutor {
     return LocalJoin(node, left_part, small);
   }
 
+  /// Disk Scan / IndexScan: the store decodes only the scan's columns and,
+  /// when `row_filter` is set, returns only the rows passing it.
+  Result<Table> ExecDiskScan(const PlanNode& scan, Expr* row_filter) {
+    if (!opts.scan_disk) {
+      return Status::ExecutionError(
+          "disk table '" + scan.table_name +
+          "' has no storage attached on database " + opts.db_name);
+    }
+    DiskScanSpec spec;
+    spec.prune_filter = scan.prune_filter.get();
+    spec.use_index = scan.kind == PlanKind::kIndexScan;
+    spec.columns = scan.columns;
+    spec.row_filter = row_filter;
+    spec.functions = opts.functions;
+    spec.exec = opts.exec;
+    MIP_ASSIGN_OR_RETURN(Table t, opts.scan_disk(scan.table_name, spec));
+    if (scan.scan_limit >= 0) {
+      t = Limit(t, static_cast<size_t>(scan.scan_limit));
+    }
+    return t;
+  }
+
   Result<Table> Exec(const PlanNode& node) {
     switch (node.kind) {
       case PlanKind::kScan:
       case PlanKind::kIndexScan: {
+        if (node.disk) return ExecDiskScan(node, nullptr);
         Table t;
         if (node.prebound != nullptr) {
           t = *node.prebound;
-        } else if (node.disk) {
-          // kIndexScan prefers the index-probing scan; falling back to the
-          // plain disk scan is always byte-identical (the index only skips
-          // segments it proves empty).
-          const auto& scan =
-              node.kind == PlanKind::kIndexScan && opts.index_scan_disk
-                  ? opts.index_scan_disk
-                  : opts.scan_disk;
-          if (!scan) {
-            return Status::ExecutionError(
-                "disk table '" + node.table_name +
-                "' has no storage attached on database " + opts.db_name);
-          }
-          MIP_ASSIGN_OR_RETURN(
-              t, scan(node.table_name, node.prune_filter.get()));
         } else {
           MIP_ASSIGN_OR_RETURN(t, opts.get_table(node.table_name));
         }
@@ -987,7 +978,14 @@ struct PlanExecutor {
         return LocalJoin(node, left, right);
       }
       case PlanKind::kFilter: {
-        MIP_ASSIGN_OR_RETURN(Table input, Exec(*node.children[0]));
+        const PlanNode& child = *node.children[0];
+        if (child.disk && child.scan_limit < 0) {
+          // Fused Filter-over-disk-scan: the store filters each decoded
+          // part before concatenating. Not under a pushed limit, which
+          // must see the unfiltered rows.
+          return ExecDiskScan(child, node.predicate.get());
+        }
+        MIP_ASSIGN_OR_RETURN(Table input, Exec(child));
         MIP_RETURN_NOT_OK(BindExpr(node.predicate.get(), input.schema(),
                                    opts.functions));
         return Filter(input, *node.predicate, opts.functions, opts.exec);

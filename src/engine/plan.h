@@ -308,21 +308,15 @@ struct PlanExecutorOptions {
   std::string db_name;
   /// Materializes a base table by catalog name.
   std::function<Result<Table>(const std::string& name)> get_table;
-  /// Scans a disk-resident table (TableKind::kDisk), consulting zone maps
-  /// against the advisory prune filter (may be null) to skip segments.
-  /// Unset = the catalog has no attached storage; executing a disk scan
-  /// then fails with an execution error.
+  /// Scans a disk-resident table (TableKind::kDisk) under `spec`: the
+  /// scan's columns, its prune hint, its access path (kIndexScan sets
+  /// `use_index`) and, when a Filter sits directly above a scan without a
+  /// pushed limit, that Filter's predicate as the exact `row_filter` (see
+  /// TableStorage::ScanDisk). Unset = the catalog has no attached storage;
+  /// executing a disk scan then fails with an execution error.
   std::function<Result<Table>(const std::string& name,
-                              const Expr* prune_filter)>
+                              const DiskScanSpec& spec)>
       scan_disk;
-  /// Scans a disk-resident table through its ordered secondary indexes
-  /// (kIndexScan): same contract and byte-identical results as scan_disk,
-  /// but segments whose index probe proves zero candidates are skipped
-  /// without being decoded. Unset = kIndexScan falls back to scan_disk
-  /// (always correct; the index path is purely an accelerator).
-  std::function<Result<Table>(const std::string& name,
-                              const Expr* prune_filter)>
-      index_scan_disk;
   /// Fetches a whole remote table (fetch_table); used by bare RemoteScans.
   std::function<Result<Table>(const std::string& location,
                               const std::string& remote_name)>

@@ -12,6 +12,8 @@
 namespace mip::engine {
 
 struct Expr;
+struct ExecContext;
+class FunctionRegistry;
 
 /// \brief Per-scan segment accounting: how many on-disk segments a scan
 /// touched vs skipped (zone maps, and on the index path also ordered-index
@@ -26,7 +28,48 @@ struct ScanStats {
   /// matched. Zero on the plain scan path.
   int64_t index_probes = 0;
   int64_t index_rows = 0;
+  /// Decode accounting: column blocks read and decoded, and the segment
+  /// rows they held (memtable rows are never decoded and never counted).
+  int64_t columns_decoded = 0;
+  int64_t rows_decoded = 0;
 };
+
+/// \brief Everything one disk scan must produce (TableStorage::ScanDisk).
+///
+/// The scan contract: `columns` may be a superset of what the caller needs
+/// (it is the plan's projection, not a promise the caller reads them all);
+/// `row_filter` is exact — only rows where it is non-null true come back;
+/// `prune_filter` stays advisory (segment skipping, never row selection).
+/// The executor fuses a Filter into the scan only when no LIMIT was pushed
+/// into that scan: a pushed limit applies before the Filter, so a filter
+/// inside the scan would change which rows survive.
+struct DiskScanSpec {
+  /// Zone-map (and, with `use_index`, ordered-index) pruning hint; may be
+  /// null. See ScanTable.
+  const Expr* prune_filter = nullptr;
+  /// Take IndexScanTable's access path instead of ScanTable's.
+  bool use_index = false;
+  /// Public columns to produce, in this order; empty = every column.
+  std::vector<std::string> columns;
+  /// Exact row predicate; null = keep every row. Bound in place, once,
+  /// against the projected public schema (BindDiskScan), so an unknown or
+  /// hidden column fails exactly as a Filter above the scan would.
+  Expr* row_filter = nullptr;
+  /// Evaluation context for `row_filter`.
+  const FunctionRegistry* functions = nullptr;
+  const ExecContext* exec = nullptr;
+};
+
+/// Binds `spec.row_filter` (when set) against `schema` narrowed to
+/// `spec.columns` and returns that projected schema. Errors match a
+/// SelectTableColumns + BindExpr over a materialized table of `schema`.
+Result<Schema> BindDiskScan(const DiskScanSpec& spec, const Schema& schema);
+
+/// Keeps the rows of `part` where the bound `spec.row_filter` is true
+/// (`part` unchanged when there is none). `part` holds the projected
+/// columns first and may carry extra trailing columns the predicate never
+/// references.
+Result<Table> FilterDiskPart(const DiskScanSpec& spec, Table part);
 
 /// \brief The storage layer's answer to "would an IndexScan beat the
 /// zone-map scan here?" — computed from real (cheap, footer-guided) index
@@ -68,16 +111,25 @@ class TableStorage {
 
   virtual Result<Schema> StorageTableSchema(const std::string& name) const = 0;
 
-  /// Materializes a table: committed segments in ingest order, then the
-  /// WAL'd memtable rows. `prune_filter` (may be null) is advisory — the
-  /// scan may use its conjuncts against per-segment zone maps to skip
-  /// segments that provably match no rows, but must never change the
-  /// result: the executor keeps the Filter node above the scan, so a scan
-  /// that ignores the hint entirely is still correct. Fills `*stats` when
-  /// non-null.
+  /// Every row and every public column of a table: committed segments in
+  /// ingest order, then the WAL'd memtable rows. `prune_filter` (may be
+  /// null) is advisory — the scan may use its conjuncts against per-segment
+  /// zone maps to skip segments that provably match no rows, so the result
+  /// is a superset of the rows the hint selects; callers that need exact
+  /// rows filter afterwards (or use ScanDisk's `row_filter`). Fills
+  /// `*stats` when non-null.
   virtual Result<Table> ScanTable(const std::string& name,
                                   const Expr* prune_filter,
                                   ScanStats* stats) const = 0;
+
+  /// The executor's disk scan: only `spec.columns`, only rows passing
+  /// `spec.row_filter`, in the same order ScanTable would return them (see
+  /// DiskScanSpec for the contract). The default runs the full scan and
+  /// then projects and filters the materialized table; a store overrides
+  /// it to decode only the projected columns and filter each decoded part.
+  virtual Result<Table> ScanDisk(const std::string& name,
+                                 const DiskScanSpec& spec,
+                                 ScanStats* stats) const;
 
   /// Durably appends rows (WAL first, then memtable; flush policy is the
   /// implementation's). Creates the table from the batch schema when it

@@ -56,26 +56,52 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
 
 Result<std::vector<uint8_t>> ReadFileRange(const std::string& path,
                                            uint64_t offset, uint64_t n) {
+  MIP_ASSIGN_OR_RETURN(ReadOnlyFile file, ReadOnlyFile::Open(path));
+  return file.ReadRange(offset, n);
+}
+
+Result<ReadOnlyFile> ReadOnlyFile::Open(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return IOErrorFromErrno("open", path);
+  return ReadOnlyFile(path, fd);
+}
+
+ReadOnlyFile::ReadOnlyFile(ReadOnlyFile&& other) noexcept
+    : path_(std::move(other.path_)), fd_(other.fd_) {
+  other.fd_ = -1;
+}
+
+ReadOnlyFile& ReadOnlyFile::operator=(ReadOnlyFile&& other) noexcept {
+  if (this != &other) {
+    if (fd_ >= 0) ::close(fd_);
+    path_ = std::move(other.path_);
+    fd_ = other.fd_;
+    other.fd_ = -1;
+  }
+  return *this;
+}
+
+ReadOnlyFile::~ReadOnlyFile() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+Result<std::vector<uint8_t>> ReadOnlyFile::ReadRange(uint64_t offset,
+                                                     uint64_t n) const {
   std::vector<uint8_t> out(n);
   size_t got = 0;
   while (got < n) {
-    const ssize_t r = ::pread(fd, out.data() + got, n - got,
+    const ssize_t r = ::pread(fd_, out.data() + got, n - got,
                               static_cast<off_t>(offset + got));
     if (r < 0) {
       if (errno == EINTR) continue;
-      ::close(fd);
-      return IOErrorFromErrno("read", path);
+      return IOErrorFromErrno("read", path_);
     }
     if (r == 0) {
-      ::close(fd);
-      return Status::IOError("read '" + path + "': unexpected EOF at " +
+      return Status::IOError("read '" + path_ + "': unexpected EOF at " +
                              std::to_string(offset + got));
     }
     got += static_cast<size_t>(r);
   }
-  ::close(fd);
   return out;
 }
 

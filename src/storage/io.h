@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -20,6 +21,31 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path);
 /// extends past EOF.
 Result<std::vector<uint8_t>> ReadFileRange(const std::string& path,
                                            uint64_t offset, uint64_t n);
+
+/// \brief Read-only file handle for positional reads: one open, then any
+/// number of ReadRange calls (one pread loop each). Move-only; closes on
+/// destruction.
+class ReadOnlyFile {
+ public:
+  static Result<ReadOnlyFile> Open(const std::string& path);
+
+  ReadOnlyFile(ReadOnlyFile&& other) noexcept;
+  ReadOnlyFile& operator=(ReadOnlyFile&& other) noexcept;
+  ReadOnlyFile(const ReadOnlyFile&) = delete;
+  ReadOnlyFile& operator=(const ReadOnlyFile&) = delete;
+  ~ReadOnlyFile();
+
+  /// Same contract as ReadFileRange.
+  Result<std::vector<uint8_t>> ReadRange(uint64_t offset, uint64_t n) const;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  ReadOnlyFile(std::string path, int fd) : path_(std::move(path)), fd_(fd) {}
+
+  std::string path_;
+  int fd_ = -1;
+};
 
 Result<uint64_t> FileSize(const std::string& path);
 bool FileExists(const std::string& path);

@@ -400,29 +400,38 @@ Result<SegmentFooter> ReadSegmentFooter(const std::string& path) {
 
 Result<engine::Table> ReadSegmentData(const std::string& path,
                                       const SegmentFooter& footer) {
-  MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(path));
-  if (bytes.size() < kSegmentHeaderBytes + kSegmentTrailerBytes) {
-    return Corrupt(path, "file too small");
-  }
-  MIP_RETURN_NOT_OK(CheckHeader(path, bytes.data(), bytes.size()));
-  std::vector<Column> columns;
+  std::vector<size_t> all(footer.columns.size());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+  return ReadSegmentColumns(path, footer, all);
+}
+
+Result<engine::Table> ReadSegmentColumns(const std::string& path,
+                                         const SegmentFooter& footer,
+                                         const std::vector<size_t>& columns) {
+  MIP_ASSIGN_OR_RETURN(ReadOnlyFile file, ReadOnlyFile::Open(path));
+  MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> head,
+                       file.ReadRange(0, kSegmentHeaderBytes));
+  MIP_RETURN_NOT_OK(CheckHeader(path, head.data(), head.size()));
+  std::vector<Column> out;
+  out.reserve(columns.size());
   Schema schema;
-  for (const SegmentColumn& meta : footer.columns) {
-    if (meta.offset > bytes.size() ||
-        meta.length > bytes.size() - meta.offset) {
-      return Corrupt(path, "column block out of bounds");
+  for (const size_t c : columns) {
+    if (c >= footer.columns.size()) {
+      return Status::InvalidArgument("segment '" + path + "' has no column #" +
+                                     std::to_string(c));
     }
-    const uint8_t* block = bytes.data() + meta.offset;
-    if (Crc32(block, static_cast<size_t>(meta.length)) != meta.crc) {
+    const SegmentColumn& meta = footer.columns[c];
+    MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> block,
+                         file.ReadRange(meta.offset, meta.length));
+    if (Crc32(block.data(), block.size()) != meta.crc) {
       return Corrupt(path, "column '" + meta.name + "' CRC mismatch");
     }
-    MIP_ASSIGN_OR_RETURN(Column col,
-                         DecodeColumnBlock(path, meta, block,
-                                           footer.num_rows));
+    MIP_ASSIGN_OR_RETURN(Column col, DecodeColumnBlock(path, meta, block.data(),
+                                                       footer.num_rows));
     MIP_RETURN_NOT_OK(schema.AddField(engine::Field{meta.name, meta.type}));
-    columns.push_back(std::move(col));
+    out.push_back(std::move(col));
   }
-  return Table::Make(std::move(schema), std::move(columns));
+  return Table::Make(std::move(schema), std::move(out));
 }
 
 Result<engine::Table> ReadSegment(const std::string& path) {

@@ -113,6 +113,15 @@ Result<engine::Table> ReadSegment(const std::string& path);
 Result<engine::Table> ReadSegmentData(const std::string& path,
                                       const SegmentFooter& footer);
 
+/// Projected read under an already-validated footer: checks the header,
+/// then reads, CRC-checks and decodes only the column blocks at the footer
+/// ordinals `columns` (output in that order) — one open file, one pread per
+/// block. Blocks not listed are never read, so their corruption cannot
+/// surface here; every byte that is read is checked.
+Result<engine::Table> ReadSegmentColumns(const std::string& path,
+                                         const SegmentFooter& footer,
+                                         const std::vector<size_t>& columns);
+
 /// \brief One zone-map-testable conjunct of a pruning hint:
 /// `column <op> literal` with op in {=, <, <=, >, >=}.
 struct PruneConjunct {

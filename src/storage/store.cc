@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/string_util.h"
+#include "engine/operators.h"
 #include "storage/io.h"
 #include "storage/wal.h"
 
@@ -519,11 +520,27 @@ ProbeContext MakeProbeContext(const std::vector<PruneConjunct>& conjuncts) {
 }  // namespace
 
 Result<engine::Table> StorageEngine::ScanLocked(
-    const TableState& state, const engine::Expr* prune_filter,
-    engine::ScanStats* stats, bool use_index) const {
+    const TableState& state, const engine::DiskScanSpec& spec,
+    engine::ScanStats* stats) const {
+  // Bind before any part is read, against the public projected schema: an
+  // unknown column fails here even on an empty table, and the hidden
+  // position column of compacted segments can never be referenced.
+  MIP_ASSIGN_OR_RETURN(const engine::Schema projected,
+                       engine::BindDiskScan(spec, state.schema));
+  // Footer ordinals to decode. Segment files store the user schema in
+  // order; compacted ones append the hidden position column last, after
+  // the projected columns the bound predicate indexes into.
+  std::vector<size_t> plain_columns;
+  for (const engine::Field& f : projected.fields()) {
+    plain_columns.push_back(
+        static_cast<size_t>(state.schema.FieldIndex(f.name)));
+  }
+  std::vector<size_t> group_columns = plain_columns;
+  group_columns.push_back(state.schema.num_fields());
+
   std::vector<PruneConjunct> conjuncts;
-  if (prune_filter != nullptr) {
-    conjuncts = ExtractPruneConjuncts(*prune_filter);
+  if (spec.prune_filter != nullptr) {
+    conjuncts = ExtractPruneConjuncts(*spec.prune_filter);
   }
   ProbeContext ctx = MakeProbeContext(conjuncts);
 
@@ -590,18 +607,27 @@ Result<engine::Table> StorageEngine::ScanLocked(
         ++local.pruned;
         continue;
       }
-      if (use_index && index_proves_empty(seg)) {
+      if (spec.use_index && index_proves_empty(seg)) {
         ++local.pruned;
         continue;
       }
       ++local.scanned;
+      const std::vector<size_t>& wanted =
+          group != 0 ? group_columns : plain_columns;
+      local.columns_decoded += static_cast<int64_t>(wanted.size());
+      local.rows_decoded += static_cast<int64_t>(seg.footer.num_rows);
+      MIP_ASSIGN_OR_RETURN(
+          engine::Table decoded,
+          ReadSegmentColumns(SegmentPath(seg.id), seg.footer, wanted));
       MIP_ASSIGN_OR_RETURN(engine::Table part,
-                           ReadSegmentData(SegmentPath(seg.id), seg.footer));
-      group_parts.push_back(std::move(part));
+                           engine::FilterDiskPart(spec, std::move(decoded)));
+      if (part.num_rows() > 0) group_parts.push_back(std::move(part));
     }
     if (group != 0 && !group_parts.empty()) {
       // Compacted group: surviving rows carry the hidden position column;
-      // put them back in pre-compaction order and strip it.
+      // put them back in pre-compaction order and strip it. Filtering
+      // first only drops rows, and positions are unique, so the order is
+      // the one a restore-then-filter would give.
       MIP_ASSIGN_OR_RETURN(engine::Table merged,
                            engine::Table::Concat(group_parts));
       MIP_ASSIGN_OR_RETURN(engine::Table restored, RestoreGroupOrder(merged));
@@ -611,39 +637,54 @@ Result<engine::Table> StorageEngine::ScanLocked(
     }
     i = j;
   }
-  // Memtable rows ride along unpruned — they have no zone maps and the
-  // Filter above the scan re-applies the predicate anyway.
-  for (const engine::Table& batch : state.memtable) parts.push_back(batch);
+  // Memtable rows are never pruned — they have no zone maps.
+  for (const engine::Table& batch : state.memtable) {
+    MIP_ASSIGN_OR_RETURN(
+        engine::Table projected_batch,
+        spec.columns.empty()
+            ? Result<engine::Table>(batch)
+            : engine::SelectTableColumns(batch, spec.columns));
+    MIP_ASSIGN_OR_RETURN(
+        engine::Table part,
+        engine::FilterDiskPart(spec, std::move(projected_batch)));
+    if (part.num_rows() > 0) parts.push_back(std::move(part));
+  }
 
   ctr_segments_scanned_.fetch_add(static_cast<uint64_t>(local.scanned),
                                   std::memory_order_relaxed);
   ctr_segments_pruned_.fetch_add(static_cast<uint64_t>(local.pruned),
                                  std::memory_order_relaxed);
   if (stats != nullptr) *stats = local;
-  if (parts.empty()) return engine::Table::Empty(state.schema);
+  if (parts.empty()) return engine::Table::Empty(projected);
   return engine::Table::Concat(parts);
+}
+
+Result<engine::Table> StorageEngine::ScanDisk(
+    const std::string& name, const engine::DiskScanSpec& spec,
+    engine::ScanStats* stats) const {
+  std::shared_lock lock(mu_);
+  auto it = tables_.find(ToLower(name));
+  if (it == tables_.end()) {
+    return Status::NotFound("no disk table named '" + name + "'");
+  }
+  return ScanLocked(it->second, spec, stats);
 }
 
 Result<engine::Table> StorageEngine::ScanTable(
     const std::string& name, const engine::Expr* prune_filter,
     engine::ScanStats* stats) const {
-  std::shared_lock lock(mu_);
-  auto it = tables_.find(ToLower(name));
-  if (it == tables_.end()) {
-    return Status::NotFound("no disk table named '" + name + "'");
-  }
-  return ScanLocked(it->second, prune_filter, stats, /*use_index=*/false);
+  engine::DiskScanSpec spec;
+  spec.prune_filter = prune_filter;
+  return ScanDisk(name, spec, stats);
 }
 
 Result<engine::Table> StorageEngine::IndexScanTable(
     const std::string& name, const engine::Expr* prune_filter,
     engine::ScanStats* stats) const {
-  std::shared_lock lock(mu_);
-  auto it = tables_.find(ToLower(name));
-  if (it == tables_.end()) {
-    return Status::NotFound("no disk table named '" + name + "'");
-  }
-  return ScanLocked(it->second, prune_filter, stats, /*use_index=*/true);
+  engine::DiskScanSpec spec;
+  spec.prune_filter = prune_filter;
+  spec.use_index = true;
+  return ScanDisk(name, spec, stats);
 }
 
 Result<engine::TableStats> StorageEngine::StorageTableStats(

@@ -81,8 +81,10 @@ struct StorageOptions {
 ///
 /// Read path: ScanTable prunes with zone maps only; IndexScanTable
 /// additionally probes each surviving segment's ordered indexes and skips
-/// segments a probe proves empty. Both restore the original row order of
-/// compacted groups (see compaction.h), so results are byte-identical to
+/// segments a probe proves empty. Both are ScanDisk with every column and
+/// no row filter; ScanDisk reads only the projected column blocks and
+/// filters each part as it is decoded. All restore the original row order
+/// of compacted groups (see compaction.h), so results are byte-identical to
 /// each other and to the never-compacted store.
 ///
 /// Thread-safe: scans take a shared lock for their entire read (segment
@@ -106,6 +108,13 @@ class StorageEngine : public engine::TableStorage {
   Result<engine::Table> ScanTable(const std::string& name,
                                   const engine::Expr* prune_filter,
                                   engine::ScanStats* stats) const override;
+  /// Late-materializing scan: decodes only the projected columns (plus the
+  /// hidden position column of compacted segments) and applies the row
+  /// filter to each decoded segment and memtable batch before group-order
+  /// restore and concatenation.
+  Result<engine::Table> ScanDisk(const std::string& name,
+                                 const engine::DiskScanSpec& spec,
+                                 engine::ScanStats* stats) const override;
   Status AppendRows(const std::string& name,
                     const engine::Table& rows) override;
   Result<engine::ScanStats> PrunePreview(
@@ -199,12 +208,12 @@ class StorageEngine : public engine::TableStorage {
   /// Builds indexes missing from the manifest (boot path for pre-index
   /// data directories); commits one manifest if anything was built.
   Status EnsureIndexesLocked();
-  /// Shared scan body: zone-map pruning, optionally index probes, group
-  /// order restoration. Caller holds the shared lock.
+  /// Shared scan body: predicate binding, zone-map pruning, optionally
+  /// index probes, projected decode, per-part filtering, group order
+  /// restoration. Caller holds the shared lock.
   Result<engine::Table> ScanLocked(const TableState& state,
-                                   const engine::Expr* prune_filter,
-                                   engine::ScanStats* stats,
-                                   bool use_index) const;
+                                   const engine::DiskScanSpec& spec,
+                                   engine::ScanStats* stats) const;
   void BackgroundCompactionLoop();
 
   const std::string dir_;

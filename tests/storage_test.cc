@@ -9,6 +9,11 @@
 // byte identity, kill-between-every-step crash recovery), the
 // Scan-vs-IndexScan access-path rule (EXPLAIN surface, byte parity at 1 and
 // 8 threads), storage counters, and manifest v1 back-compat.
+//
+// Late-materializing scans: ScanDisk(columns, row_filter) against the
+// materialize-project-filter reference over memtable-only, flushed, fully
+// compacted and partly pruned compacted layouts, bind-error parity, and
+// projected reads checking every byte they use while skipping the rest.
 
 #include <chrono>
 #include <cmath>
@@ -29,6 +34,10 @@
 #include "engine/encoding.h"
 #include "engine/exec_context.h"
 #include "engine/expr.h"
+#include "engine/operators.h"
+#include "engine/plan.h"
+#include "engine/sql_parser.h"
+#include "engine/storage_iface.h"
 #include "engine/table.h"
 #include "net/frame.h"
 #include "storage/compaction.h"
@@ -712,18 +721,10 @@ TEST(DiskDatabaseTest, ExplainShowsPrunedSegments) {
       << plan;
 }
 
-TEST(DiskDatabaseTest, PruningNeverChangesResults) {
-  DiskDbFixture fx = DiskDbFixture::Make("db_parity");
-  // Reference: the same rows as a plain in-memory base table.
-  Database mem("memnode");
-  auto full = fx.store->ScanTable("events", nullptr, nullptr);
-  ASSERT_TRUE(full.ok());
-  ASSERT_TRUE(mem.PutTable("events", full.ValueOrDie()).ok());
-
-  // Predicate corpus: every comparison op crossed with literals below, at,
-  // inside and above each column's range — plus AND/OR combinations, NULL
-  // probes and aggregates. Results must match the memory engine row for
-  // row whether pruning fires or not.
+/// Prune predicate corpus over MakeEventsTable(0, 800): every comparison op
+/// crossed with literals below, at, inside and above each column's range
+/// (-0.0 included), plus AND/OR combinations and NULL probes.
+std::vector<std::string> EventsPredicates() {
   std::vector<std::string> predicates;
   for (const std::string op : {"=", "<", "<=", ">", ">="}) {
     for (const std::string lit :
@@ -743,6 +744,22 @@ TEST(DiskDatabaseTest, PruningNeverChangesResults) {
   predicates.push_back("id < 50 OR id > 750");
   predicates.push_back("val IS NULL");
   predicates.push_back("val IS NOT NULL AND id <= 10");
+  return predicates;
+}
+
+TEST(DiskDatabaseTest, PruningNeverChangesResults) {
+  DiskDbFixture fx = DiskDbFixture::Make("db_parity");
+  // Reference: the same rows as a plain in-memory base table.
+  Database mem("memnode");
+  auto full = fx.store->ScanTable("events", nullptr, nullptr);
+  ASSERT_TRUE(full.ok());
+  ASSERT_TRUE(mem.PutTable("events", full.ValueOrDie()).ok());
+
+  // Predicate corpus: every comparison op crossed with literals below, at,
+  // inside and above each column's range — plus AND/OR combinations, NULL
+  // probes and aggregates. Results must match the memory engine row for
+  // row whether pruning fires or not.
+  const std::vector<std::string> predicates = EventsPredicates();
 
   ThreadPool pool(8);
   engine::ExecContext parallel{&pool, 64};  // tiny morsels: force fan-out
@@ -1639,6 +1656,363 @@ TEST(ManifestCompatTest, V1ManifestLoadsAndGainsIndexesOnBoot) {
   EXPECT_EQ(TableBytes((*store)->ScanTable("t", nullptr, nullptr)
                            .ValueOrDie()),
             bytes0);
+}
+
+
+// ---------------------------------------------------------------------------
+// Late-materializing scans: ScanDisk(columns, row_filter)
+// ---------------------------------------------------------------------------
+
+/// Forwards the TableStorage surface except ScanDisk, which therefore runs
+/// the interface default (full scan, then project and filter): the unfused
+/// path a store's own ScanDisk must match byte for byte.
+class UnfusedStorage : public engine::TableStorage {
+ public:
+  explicit UnfusedStorage(const engine::TableStorage* inner) : inner_(inner) {}
+
+  std::vector<std::string> StorageTableNames() const override {
+    return inner_->StorageTableNames();
+  }
+  Result<Schema> StorageTableSchema(const std::string& name) const override {
+    return inner_->StorageTableSchema(name);
+  }
+  Result<Table> ScanTable(const std::string& name,
+                          const engine::Expr* prune_filter,
+                          engine::ScanStats* stats) const override {
+    return inner_->ScanTable(name, prune_filter, stats);
+  }
+  Status AppendRows(const std::string&, const Table&) override {
+    return Status::NotImplemented("read-only view");
+  }
+  Result<engine::ScanStats> PrunePreview(
+      const std::string& name,
+      const engine::Expr* prune_filter) const override {
+    return inner_->PrunePreview(name, prune_filter);
+  }
+  Result<Table> IndexScanTable(const std::string& name,
+                               const engine::Expr* prune_filter,
+                               engine::ScanStats* stats) const override {
+    return inner_->IndexScanTable(name, prune_filter, stats);
+  }
+
+ private:
+  const engine::TableStorage* inner_;
+};
+
+/// ScanTable -> SelectTableColumns -> Filter, each step on the fully
+/// materialized table: the reference for ScanDisk.
+Result<Table> MaterializeThenFilter(const StorageEngine& store,
+                                    const std::string& name,
+                                    const engine::Expr& predicate,
+                                    const std::vector<std::string>& columns) {
+  const engine::ExprPtr hint = engine::CloneExpr(predicate);
+  MIP_ASSIGN_OR_RETURN(Table t, store.ScanTable(name, hint.get(), nullptr));
+  if (!columns.empty()) {
+    MIP_ASSIGN_OR_RETURN(t, engine::SelectTableColumns(t, columns));
+  }
+  const engine::ExprPtr bound = engine::CloneExpr(predicate);
+  MIP_RETURN_NOT_OK(engine::BindExpr(bound.get(), t.schema(), nullptr));
+  return engine::Filter(t, *bound, nullptr, &engine::ExecContext::Serial());
+}
+
+/// One ScanDisk with a fresh (unbound) copy of `predicate` as both the
+/// prune hint and the exact row filter, as the executor issues it.
+Result<Table> FusedScan(const engine::TableStorage& store,
+                        const std::string& name,
+                        const engine::Expr& predicate,
+                        const std::vector<std::string>& columns,
+                        bool use_index, const engine::ExecContext* exec,
+                        engine::ScanStats* stats = nullptr) {
+  const engine::ExprPtr hint = engine::CloneExpr(predicate);
+  const engine::ExprPtr filter = engine::CloneExpr(predicate);
+  engine::DiskScanSpec spec;
+  spec.prune_filter = hint.get();
+  spec.use_index = use_index;
+  spec.columns = columns;
+  spec.row_filter = filter.get();
+  spec.exec = exec;
+  return store.ScanDisk(name, spec, stats);
+}
+
+/// "ok:<bytes>" or "error:<status>" — so error parity is checked too (a
+/// projection missing a predicate column must fail identically).
+std::string Outcome(const Result<Table>& r) {
+  if (!r.ok()) return "error:" + r.status().ToString();
+  const std::vector<uint8_t> bytes = TableBytes(r.ValueOrDie());
+  return "ok:" + std::string(bytes.begin(), bytes.end());
+}
+
+enum class ScanLayout { kMemtable, kFlushed, kCompacted, kCompactedMixed };
+
+/// MakeEventsTable rows (ids 0..799 unless memtable-only) in one layout.
+/// Compaction clusters by `val` (noisy), so the group is a real permutation
+/// whose segments hold disjoint `val` ranges: `val` predicates prune part
+/// of the group and order restoration has work to do.
+std::unique_ptr<StorageEngine> MakeScanLayout(const std::string& name,
+                                              ScanLayout layout) {
+  StorageOptions options;
+  options.target_segment_rows = 100;
+  options.cluster_key = "val";
+  auto opened = StorageEngine::Open(TestDir(name), options);
+  EXPECT_TRUE(opened.ok());
+  std::unique_ptr<StorageEngine> store = std::move(opened.ValueOrDie());
+  if (layout == ScanLayout::kMemtable) {
+    for (int64_t start = 0; start < 300; start += 100) {
+      EXPECT_TRUE(store->AppendRows("events", MakeEventsTable(start, 100)).ok());
+    }
+    EXPECT_EQ(store->SegmentCount("events").ValueOrDie(), 0u);
+    return store;
+  }
+  EXPECT_TRUE(store->AppendRows("events", MakeEventsTable(0, 700)).ok());
+  EXPECT_TRUE(store->Flush().ok());
+  if (layout == ScanLayout::kCompacted ||
+      layout == ScanLayout::kCompactedMixed) {
+    EXPECT_TRUE(store->Compact("events").ok());
+  }
+  if (layout == ScanLayout::kCompacted) {
+    EXPECT_TRUE(store->AppendRows("events", MakeEventsTable(700, 100)).ok());
+    EXPECT_TRUE(store->Flush().ok());
+    EXPECT_TRUE(store->Compact("events").ok());  // one group, nothing else
+    return store;
+  }
+  // A plain segment after the (optional) group, then a memtable tail.
+  EXPECT_TRUE(store->AppendRows("events", MakeEventsTable(700, 60)).ok());
+  EXPECT_TRUE(store->Flush().ok());
+  EXPECT_TRUE(store->AppendRows("events", MakeEventsTable(760, 40)).ok());
+  return store;
+}
+
+TEST(ScanDiskTest, FusedScanMatchesMaterializeThenFilterAcrossLayouts) {
+  std::vector<engine::ExprPtr> corpus;
+  for (const std::string& text : EventsPredicates()) {
+    auto parsed = engine::ParseExpression(text);
+    ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status().ToString();
+    corpus.push_back(parsed.ValueOrDie());
+  }
+  // NaN literals (no SQL spelling): eq-like ops match every non-null row.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const engine::BinaryOp op :
+       {engine::BinaryOp::kEq, engine::BinaryOp::kLt, engine::BinaryOp::kGe}) {
+    corpus.push_back(
+        engine::Binary(op, engine::Col("val"), engine::LitDouble(nan)));
+  }
+  const std::vector<std::vector<std::string>> projections = {
+      {}, {"flag", "VAL", "id", "cat"}, {"val", "id"}};
+
+  ThreadPool pool(8);
+  const engine::ExecContext parallel{&pool, 64};  // tiny morsels: fan out
+  const std::vector<std::pair<ScanLayout, std::string>> layouts = {
+      {ScanLayout::kMemtable, "memtable"},
+      {ScanLayout::kFlushed, "flushed"},
+      {ScanLayout::kCompacted, "compacted"},
+      {ScanLayout::kCompactedMixed, "compacted_mixed"}};
+  for (const auto& [layout, label] : layouts) {
+    std::unique_ptr<StorageEngine> store =
+        MakeScanLayout("scan_disk_" + label, layout);
+    const UnfusedStorage unfused(store.get());
+    bool partial_group = false;  // some group segments pruned, some read
+    for (const engine::ExprPtr& pred : corpus) {
+      for (const std::vector<std::string>& cols : projections) {
+        const std::string context = label + " [" + pred->ToString() + "] " +
+                                    std::to_string(cols.size()) + " cols";
+        const std::string want =
+            Outcome(MaterializeThenFilter(*store, "events", *pred, cols));
+        EXPECT_EQ(Outcome(FusedScan(unfused, "events", *pred, cols, false,
+                                    &engine::ExecContext::Serial())),
+                  want)
+            << context << " (interface default)";
+        for (const bool use_index : {false, true}) {
+          for (const engine::ExecContext* exec :
+               {&engine::ExecContext::Serial(), &parallel}) {
+            engine::ScanStats stats;
+            EXPECT_EQ(Outcome(FusedScan(*store, "events", *pred, cols,
+                                        use_index, exec, &stats)),
+                      want)
+                << context << " index=" << use_index
+                << " pool=" << (exec == &parallel);
+            if (layout == ScanLayout::kCompacted && stats.scanned > 0 &&
+                stats.pruned > 0) {
+              partial_group = true;
+            }
+          }
+        }
+      }
+    }
+    if (layout == ScanLayout::kCompacted) {
+      EXPECT_EQ(store->SegmentCount("events").ValueOrDie(), 8u);
+      EXPECT_TRUE(partial_group) << "no predicate pruned part of the group";
+    }
+  }
+}
+
+TEST(ScanDiskTest, DecodesOnlyProjectedColumnBlocks) {
+  std::unique_ptr<StorageEngine> store =
+      MakeScanLayout("scan_disk_decode", ScanLayout::kFlushed);
+  engine::ScanStats full;
+  ASSERT_TRUE(store->ScanTable("events", nullptr, &full).ok());
+  EXPECT_EQ(full.scanned, 8);
+  EXPECT_EQ(full.columns_decoded, 4 * 8);
+  EXPECT_EQ(full.rows_decoded, 760);
+
+  engine::DiskScanSpec spec;
+  spec.columns = {"val"};
+  engine::ScanStats projected;
+  auto scan = store->ScanDisk("events", spec, &projected);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_EQ(scan.ValueOrDie().num_columns(), 1u);
+  EXPECT_EQ(scan.ValueOrDie().num_rows(), 800u);  // memtable tail included
+  EXPECT_EQ(projected.columns_decoded, 8);
+  EXPECT_EQ(projected.rows_decoded, 760);
+
+  // Compacted segments also decode their hidden position column.
+  ASSERT_TRUE(store->Flush().ok());
+  ASSERT_TRUE(store->Compact("events").ok());
+  ASSERT_TRUE(store->ScanDisk("events", spec, &projected).ok());
+  EXPECT_EQ(projected.columns_decoded, 2 * projected.scanned);
+  EXPECT_EQ(projected.rows_decoded, 800);
+}
+
+TEST(ScanDiskTest, BindErrorsMatchTheUnfusedFilter) {
+  // An unknown column fails exactly as the in-memory engine's Filter does,
+  // even when the disk table holds no rows at all.
+  const std::string dir = TestDir("scan_disk_bind");
+  auto opened = StorageEngine::Open(dir);
+  ASSERT_TRUE(opened.ok());
+  std::unique_ptr<StorageEngine> store = std::move(opened.ValueOrDie());
+  const Table empty = Table::Empty(MakeEventsTable(0, 1).schema());
+  ASSERT_TRUE(store->AppendRows("e", empty).ok());
+  Database db("disknode");
+  ASSERT_TRUE(db.AttachStorage(store.get()).ok());
+  Database mem("memnode");
+  ASSERT_TRUE(mem.PutTable("e", empty).ok());
+  for (const char* sql :
+       {"SELECT id FROM e WHERE nope = 1", "SELECT * FROM e WHERE nope > 0",
+        "SELECT count(*) AS n FROM e WHERE nope IS NULL",
+        "SELECT id FROM e WHERE __mip_pos >= 0"}) {
+    auto got = db.ExecuteSql(sql);
+    auto want = mem.ExecuteSql(sql);
+    ASSERT_FALSE(want.ok()) << sql;
+    ASSERT_FALSE(got.ok()) << sql;
+    EXPECT_EQ(got.status().ToString(), want.status().ToString()) << sql;
+  }
+
+  // The hidden position column of a compacted group is never bindable,
+  // though its segments carry it: same error as the materialized table.
+  std::unique_ptr<StorageEngine> compacted =
+      MakeScanLayout("scan_disk_bind_pos", ScanLayout::kCompacted);
+  const engine::ExprPtr pos_pred = engine::Binary(
+      engine::BinaryOp::kGe, engine::Col("__mip_pos"), engine::LitInt(0));
+  for (const std::vector<std::string>& cols :
+       {std::vector<std::string>{}, std::vector<std::string>{"id"}}) {
+    auto want = MaterializeThenFilter(*compacted, "events", *pos_pred, cols);
+    ASSERT_FALSE(want.ok());
+    EXPECT_EQ(want.status().code(), StatusCode::kNotFound);
+    for (const bool use_index : {false, true}) {
+      auto got = FusedScan(*compacted, "events", *pos_pred, cols, use_index,
+                           &engine::ExecContext::Serial());
+      ASSERT_FALSE(got.ok());
+      EXPECT_EQ(got.status().ToString(), want.status().ToString());
+    }
+  }
+}
+
+/// The footer entry of `column` in the segment file at `path`.
+storage::SegmentColumn FooterColumn(const std::string& path,
+                                    const std::string& column) {
+  auto footer = storage::ReadSegmentFooter(path);
+  EXPECT_TRUE(footer.ok()) << footer.status().ToString();
+  for (const storage::SegmentColumn& c : footer.ValueOrDie().columns) {
+    if (c.name == column) return c;
+  }
+  ADD_FAILURE() << path << " has no column " << column;
+  return {};
+}
+
+TEST(ScanDiskTest, ProjectedScanChecksEveryByteItReadsAndSkipsTheRest) {
+  // The contract: every byte a scan uses is checked — the header by magic
+  // and version, each column block it decodes by its CRC — so a flip there
+  // is a typed kIOError, never garbage rows; and column blocks the
+  // projection does not need are not read at all, so damage confined to
+  // them cannot fail (or change) the projected scan.
+  const std::string dir = TestDir("scan_disk_corrupt");
+  StorageOptions options;
+  options.target_segment_rows = 50;
+  auto opened = StorageEngine::Open(dir, options);
+  ASSERT_TRUE(opened.ok());
+  std::unique_ptr<StorageEngine> store = std::move(opened.ValueOrDie());
+  ASSERT_TRUE(store->AppendRows("events", MakeEventsTable(0, 100)).ok());
+  ASSERT_TRUE(store->Flush().ok());
+  const std::string seg = dir + "/seg-0.mip";
+  ASSERT_TRUE(storage::FileExists(seg));
+  const std::vector<uint8_t> good = storage::ReadFileBytes(seg).ValueOrDie();
+
+  engine::DiskScanSpec read_val;
+  read_val.columns = {"val"};
+  engine::DiskScanSpec read_id;
+  read_id.columns = {"id"};
+  const std::string want_id =
+      Outcome(store->ScanDisk("events", read_id, nullptr));
+  ASSERT_EQ(want_id.rfind("ok:", 0), 0u) << want_id;
+
+  const storage::SegmentColumn val = FooterColumn(seg, "val");
+  ASSERT_GT(val.length, 0u);
+  for (uint64_t off = val.offset; off < val.offset + val.length; ++off) {
+    std::vector<uint8_t> bad = good;
+    bad[off] ^= 0x20;
+    ASSERT_TRUE(storage::WriteFileAtomic(seg, bad).ok());
+    auto hit = store->ScanDisk("events", read_val, nullptr);
+    ASSERT_FALSE(hit.ok()) << "flip at " << off;
+    EXPECT_EQ(hit.status().code(), StatusCode::kIOError)
+        << hit.status().ToString();
+    EXPECT_EQ(Outcome(store->ScanDisk("events", read_id, nullptr)), want_id)
+        << "flip at " << off << " in an unread block";
+  }
+  for (size_t off = 0; off < storage::kSegmentHeaderBytes; ++off) {
+    std::vector<uint8_t> bad = good;
+    bad[off] ^= 0x01;
+    ASSERT_TRUE(storage::WriteFileAtomic(seg, bad).ok());
+    auto hit = store->ScanDisk("events", read_id, nullptr);
+    ASSERT_FALSE(hit.ok()) << "header flip at " << off;
+    EXPECT_EQ(hit.status().code(), StatusCode::kIOError);
+  }
+  ASSERT_TRUE(storage::WriteFileAtomic(seg, good).ok());
+
+  // Compacted segments: every projected scan reads the hidden position
+  // column, so its block is checked whatever the projection.
+  ASSERT_TRUE(store->Compact("events").ok());
+  std::string group_seg;
+  const std::vector<std::string> names = storage::ListDir(dir).ValueOrDie();
+  for (const std::string& n : names) {
+    if (n.rfind("seg-", 0) != 0) continue;
+    auto footer = storage::ReadSegmentFooter(dir + "/" + n);
+    ASSERT_TRUE(footer.ok());
+    if (footer.ValueOrDie().schema().FieldIndex(storage::kHiddenPosColumn) >=
+        0) {
+      group_seg = dir + "/" + n;
+      break;
+    }
+  }
+  ASSERT_FALSE(group_seg.empty());
+  const std::string want_id_compacted =
+      Outcome(store->ScanDisk("events", read_id, nullptr));
+  EXPECT_EQ(want_id_compacted, want_id);
+  const std::vector<uint8_t> group_good =
+      storage::ReadFileBytes(group_seg).ValueOrDie();
+  const storage::SegmentColumn pos =
+      FooterColumn(group_seg, storage::kHiddenPosColumn);
+  std::vector<uint8_t> bad = group_good;
+  bad[pos.offset + pos.length / 2] ^= 0x20;
+  ASSERT_TRUE(storage::WriteFileAtomic(group_seg, bad).ok());
+  auto hit = store->ScanDisk("events", read_id, nullptr);
+  ASSERT_FALSE(hit.ok());
+  EXPECT_EQ(hit.status().code(), StatusCode::kIOError);
+
+  const storage::SegmentColumn cat = FooterColumn(group_seg, "cat");
+  bad = group_good;
+  bad[cat.offset + cat.length / 2] ^= 0x20;
+  ASSERT_TRUE(storage::WriteFileAtomic(group_seg, bad).ok());
+  EXPECT_EQ(Outcome(store->ScanDisk("events", read_id, nullptr)),
+            want_id_compacted);
 }
 
 }  // namespace
